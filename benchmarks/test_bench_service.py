@@ -162,7 +162,7 @@ def _run_sharded(n_shards, requests, workdir, scale_name, kill_recover):
         submit_s = time.monotonic() - t0
         for shard, _ in pending_restart:
             harness.start_shard(shard)
-        results = harness.router.wait_all(routed, timeout=600.0, poll=0.1)
+        results = harness.router.wait_all(routed, timeout=600.0)
         elapsed = time.monotonic() - t0
         states = {key: status["state"] for key, status in results.items()}
         assert set(states.values()) == {"done"}, states

@@ -488,8 +488,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     if args.shards:
         router = ShardRouter(
             [e for e in args.shards.split(",") if e],
-            timeout=args.connect_timeout, retry=retry,
-            hedge_delay=args.hedge)
+            timeout=args.connect_timeout, retry=retry)
         routed = router.submit(**params)
         extra = ("deduped" if routed.deduped else
                  "adopted" if routed.adopted else
@@ -502,7 +501,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         rid = routed.request_id
     else:
         client = ServiceClient(args.socket, timeout=args.connect_timeout,
-                               retry=retry, hedge_delay=args.hedge)
+                               retry=retry)
         accepted = client.submit(**params)
         rid = accepted["id"]
         if accepted.get("deduped"):
@@ -736,11 +735,6 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="N",
                           help="total client attempts for transient "
                                "transport failures (default 4)")
-    p_submit.add_argument("--hedge", type=float, default=None,
-                          metavar="SECONDS",
-                          help="hedge idempotent reads: duplicate a status/"
-                               "wait that is slower than this, first answer "
-                               "wins")
     p_submit.add_argument("--scale", default=None, choices=sorted(exp.SCALES))
     p_submit.add_argument("--seed", type=int, default=None)
     p_submit.add_argument("--generations", type=int, default=None,

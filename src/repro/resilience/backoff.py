@@ -4,7 +4,7 @@ Two retry loops in this codebase damp themselves the same way: the
 simulated :class:`~repro.resilience.retry.RetryPolicy` spaces out requeues
 of fault-killed jobs (simulated seconds), and the supervised worker pool
 (:mod:`repro.parallel.pool`) spaces out re-dispatch of crashed or hung
-grid tasks (wall-clock seconds).  :class:`BackoffPolicy` is the one
+grid cells and service requests (wall-clock seconds).  :class:`BackoffPolicy` is the one
 schedule both consume — ``delay(attempt)`` grows geometrically from
 ``initial`` by ``factor`` per extra attempt, clamped at ``max_delay``.
 """

@@ -8,7 +8,8 @@ runs them through a hardened execution core:
   repo's own base-scheduler priority policies (FCFS/WFP), shedding work
   with a 429-style error past a high-water mark and degrading gracefully
   (smaller GA budgets, tighter watchdogs) as pressure builds;
-* **a self-healing worker pool** (:mod:`.pool`) — per-request deadlines,
+* **a self-healing worker pool** (:mod:`.pool`, the service's binding
+  of :class:`repro.parallel.pool.Supervisor`) — per-request deadlines,
   heartbeat-based hang detection, SIGKILL of wedged workers, pool
   rebuilds that requeue crash victims for free, exponential backoff with
   deterministic jitter, and quarantine of poison requests that keep

@@ -20,7 +20,7 @@ shields, each bounded and observable:
   seconds, then a single half-open probe decides between closing and
   re-opening.  A fleet of clients hammering a dead shard turns into a
   trickle of probes.
-* **optional hedged reads** for idempotent ops (``status``/``wait``
+* **optional hedged reads** for idempotent ops (``status``/``stats``
   etc.): when a response takes longer than ``hedge_delay`` seconds a
   second identical request races the first, and the first answer wins.
   Hedging is restricted to read-only ops — a hedged ``submit`` without
@@ -156,8 +156,12 @@ class CircuitBreaker:
                 self._opened_at = time.monotonic()
 
 
-#: Ops that are safe to hedge (idempotent reads).
-HEDGEABLE_OPS = frozenset({"ping", "status", "stats", "wait"})
+#: Ops that are safe to hedge (idempotent reads).  ``wait`` is idempotent
+#: too, but it blocks server-side, so a hedge would only double it.
+HEDGEABLE_OPS = frozenset({"ping", "status", "stats"})
+
+#: Pause before re-waiting after a transport error (daemon restarting).
+WAIT_RETRY_PAUSE = 0.1
 
 
 class ServiceClient:
@@ -413,38 +417,40 @@ class ServiceClient:
     def shutdown(self, mode: str = "graceful") -> Dict[str, Any]:
         return self._checked({"op": "shutdown", "mode": mode})
 
-    # --- polling helpers ---------------------------------------------------------
+    # --- waiting -----------------------------------------------------------------
     TERMINAL = frozenset({"done", "failed", "quarantined", "cancelled"})
 
-    def wait(self, request_id: str, timeout: float = 300.0,
-             poll: float = 0.1) -> Dict[str, Any]:
-        """Poll until ``request_id`` reaches a terminal state.
+    def wait(self, request_id: str, timeout: float = 300.0) -> Dict[str, Any]:
+        """Block until ``request_id`` reaches a terminal state.
 
-        Daemon restarts mid-wait are survived: an unreachable daemon just
-        extends the poll loop (until ``timeout``), and a restarted daemon
+        Sends the daemon's blocking ``wait`` op in slices of at most half
+        the socket timeout, so no slice outlives its connection.  A slice
+        that ends unfinished (408) or fails in transport re-waits until
+        ``timeout``, which survives daemon restarts: a restarted daemon
         answers from its recovered journal.  Raises
-        :class:`~repro.errors.ServiceTimeout` when the budget runs out.
+        :class:`~repro.errors.ServiceTimeout` when the budget runs out,
+        and the daemon's 404 when it has never heard of the id.
         """
         deadline = time.monotonic() + timeout
         last: Optional[ServiceError] = None
-        while time.monotonic() < deadline:
+        while (remaining := deadline - time.monotonic()) > 0:
             try:
-                status = self.status(request_id)
+                return self._checked({"op": "wait", "id": request_id,
+                                      "timeout": min(remaining, self.timeout / 2)})
             except ServiceError as exc:
                 if exc.code == 404:
                     raise  # the daemon is up and has never heard of it
-                last = exc  # unreachable: daemon may be restarting
-            else:
-                if status.get("state") in self.TERMINAL:
-                    return status
-            time.sleep(poll)
+                if exc.code != 408:
+                    last = exc  # unreachable: daemon may be restarting
+                    time.sleep(min(WAIT_RETRY_PAUSE,
+                                   max(deadline - time.monotonic(), 0.0)))
         raise ServiceTimeout(
             f"request {request_id} not terminal within {timeout}s"
             + (f" (last error: {last})" if last else ""),
             pending=(request_id,))
 
-    def wait_all(self, request_ids: List[str], timeout: float = 300.0,
-                 poll: float = 0.1) -> Dict[str, Dict[str, Any]]:
+    def wait_all(self, request_ids: List[str],
+                 timeout: float = 300.0) -> Dict[str, Dict[str, Any]]:
         """Wait for every id; returns ``{id: terminal status}``.
 
         ``timeout`` bounds the *whole batch*: each wait gets exactly the
@@ -461,7 +467,7 @@ class ServiceClient:
             if remaining <= 0:
                 self._raise_wait_all_timeout(timeout, ids[i:])
             try:
-                done[rid] = self.wait(rid, timeout=remaining, poll=poll)
+                done[rid] = self.wait(rid, timeout=remaining)
             except ServiceTimeout as exc:
                 self._raise_wait_all_timeout(timeout, ids[i:], cause=exc)
         return done

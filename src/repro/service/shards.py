@@ -337,20 +337,19 @@ class ShardRouter:
         return cancelled
 
     # --- request lifecycle across shards -----------------------------------------
-    def wait(self, routed: Routed, timeout: float = 300.0,
-             poll: float = 0.1) -> Dict[str, Any]:
+    def wait(self, routed: Routed, timeout: float = 300.0) -> Dict[str, Any]:
         """Wait for a routed request on the shard that owns it.
 
-        A shard restart mid-wait is survived by the client's poll loop
+        A shard restart mid-wait is survived by the client's wait loop
         (the shard recovers the request from its journal and finishes
         it); the router adds nothing here because ownership never moves
         after acceptance.
         """
         return self.clients[routed.endpoint].wait(
-            routed.request_id, timeout=timeout, poll=poll)
+            routed.request_id, timeout=timeout)
 
-    def wait_all(self, routed: List[Routed], timeout: float = 300.0,
-                 poll: float = 0.1) -> Dict[str, Dict[str, Any]]:
+    def wait_all(self, routed: List[Routed],
+                 timeout: float = 300.0) -> Dict[str, Dict[str, Any]]:
         """Wait for every routed request; ``{key: terminal status}``.
 
         One shared deadline across the batch, mirroring
@@ -363,7 +362,7 @@ class ShardRouter:
             if remaining <= 0:
                 self._raise_pending(timeout, routed[i:])
             try:
-                done[item.key] = self.wait(item, timeout=remaining, poll=poll)
+                done[item.key] = self.wait(item, timeout=remaining)
             except ServiceError as exc:
                 if exc.code != 408:
                     raise

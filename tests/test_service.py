@@ -516,7 +516,7 @@ class TestClientRetry:
             client, "status", lambda rid: {"state": "queued"})
         t0 = time.monotonic()
         with pytest.raises(ServiceTimeout) as excinfo:
-            client.wait_all(["r1", "r2", "r3"], timeout=0.4, poll=0.01)
+            client.wait_all(["r1", "r2", "r3"], timeout=0.4)
         elapsed = time.monotonic() - t0
         assert elapsed < 2.0  # not 3 x 0.4 each
         assert set(excinfo.value.pending) == {"r1", "r2", "r3"}

@@ -281,7 +281,7 @@ class ChaosHarness:
     def _drain(self, pending: set, deadline: float):
         for rid in sorted(pending):
             remaining = max(deadline - time.monotonic(), 1.0)
-            status = self.client.wait(rid, timeout=remaining, poll=0.1)
+            status = self.client.wait(rid, timeout=remaining)
             yield rid, status["state"]
 
     # --- audit + report ----------------------------------------------------------
@@ -645,7 +645,7 @@ class NetworkChaosHarness:
             self.start_shard(shard)
         self.router.check()  # final health sweep (triggers reconciliation)
         remaining = max(plan.timeout - (time.monotonic() - t_start), 30.0)
-        results = self.router.wait_all(routed, timeout=remaining, poll=0.1)
+        results = self.router.wait_all(routed, timeout=remaining)
         states = {key: status["state"] for key, status in results.items()}
         not_done = {k: s for k, s in states.items() if s != "done"}
         if not_done:
